@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -301,6 +302,43 @@ TEST(JsonReport, TraceSectionCarriesStageSpansWhenEnabled) {
                            "ilp.solve_mip", "tool.run"}) {
     EXPECT_NE(doc.find(span), std::string::npos) << span;
   }
+}
+
+TEST(JsonReport, TraceSectionCarriesOnlyItsOwnRunsSpans) {
+  // Two traced runs back to back without a reset: the second report must
+  // not carry the first run's spans, although both sit in the buffer.
+  support::Tracer& tracer = support::Tracer::instance();
+  tracer.set_enabled(true);
+  tracer.reset();
+  auto first = run_small("adi", 32, 4);
+  auto second = run_small("erlebacher", 16, 4);
+  const std::string doc1 = json_report(*first);
+  const std::string doc2 = json_report(*second);
+  tracer.set_enabled(false);
+  tracer.reset();
+  ASSERT_TRUE(MiniJsonParser::valid(doc2));
+  auto count = [](const std::string& doc, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = doc.find(needle); at != std::string::npos;
+         at = doc.find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  EXPECT_LE(first->trace_end_ns, second->trace_begin_ns);
+  for (const char* span : {"\"tool.run\"", "\"stage.frontend\"", "\"stage.selection\""}) {
+    EXPECT_EQ(count(doc1, span), 1u) << span;
+    EXPECT_EQ(count(doc2, span), 1u) << span;
+  }
+  // Every span in the second report starts inside the second run.
+  const std::string key = "\"start_us\": ";
+  std::size_t spans = 0;
+  for (std::size_t at = doc2.find(key); at != std::string::npos;
+       at = doc2.find(key, at + 1)) {
+    const double start_us = std::strtod(doc2.c_str() + at + key.size(), nullptr);
+    EXPECT_GE(start_us * 1e3 + 1.0, static_cast<double>(second->trace_begin_ns));
+    ++spans;
+  }
+  EXPECT_GT(spans, 0u);
 }
 
 TEST(JsonReport, TraceSectionEmptyWhenDisabled) {

@@ -1,7 +1,9 @@
 #include "support/trace.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 namespace al::support {
 namespace {
@@ -28,6 +30,7 @@ Tracer& Tracer::instance() {
 void Tracer::reset() {
   std::lock_guard lock(mutex_);
   spans_.clear();
+  recorded_ = 0;
   dropped_.store(0, std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
 }
@@ -46,16 +49,33 @@ std::uint32_t Tracer::thread_id() {
 
 void Tracer::record(const SpanRecord& r) {
   std::lock_guard lock(mutex_);
-  if (spans_.size() >= kMaxSpans) {
+  if (spans_.size() < kMaxSpans) {
+    spans_.push_back(r);
+  } else {
+    spans_[static_cast<std::size_t>(recorded_ % kMaxSpans)] = r;
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
   }
-  spans_.push_back(r);
+  ++recorded_;
 }
 
 std::vector<SpanRecord> Tracer::snapshot() const {
+  return snapshot(0, 0, std::numeric_limits<std::uint64_t>::max());
+}
+
+std::vector<SpanRecord> Tracer::snapshot(std::uint64_t from, std::uint64_t begin_ns,
+                                         std::uint64_t end_ns) const {
   std::lock_guard lock(mutex_);
-  return spans_;
+  std::vector<SpanRecord> out;
+  for (std::uint64_t p = std::max(from, recorded_ - spans_.size()); p < recorded_; ++p) {
+    const SpanRecord& s = spans_[static_cast<std::size_t>(p % kMaxSpans)];
+    if (s.start_ns >= begin_ns && s.start_ns <= end_ns) out.push_back(s);
+  }
+  return out;
+}
+
+std::uint64_t Tracer::recorded() const {
+  std::lock_guard lock(mutex_);
+  return recorded_;
 }
 
 std::size_t Tracer::size() const {

@@ -8,9 +8,10 @@
 // Recording is thread-safe (one mutex around the span buffer; spans are
 // finalized once, at close, so the lock is off every hot loop's fast path)
 // and nesting-aware: each span carries its per-thread depth and a dense
-// thread id, enough to rebuild the tree. The buffer is bounded
-// (`kMaxSpans`); overflow drops spans and counts them instead of growing
-// without limit on pathological inputs.
+// thread id, enough to rebuild the tree. The buffer is a bounded ring
+// (`kMaxSpans`): once full, each new span overwrites the oldest one, which
+// counts as dropped, so a long-lived traced process keeps its newest spans
+// instead of growing without limit or going blind.
 //
 // `chrome_trace_json()` serializes the buffer in the Chrome trace-event
 // format (chrome://tracing, Perfetto): complete events ("ph":"X") with
@@ -49,9 +50,20 @@ public:
   /// Drops all recorded spans and restarts the epoch (dropped count too).
   void reset();
 
+  /// Every buffered span, oldest first.
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
+  /// The buffered spans recorded at or after stream position `from` (see
+  /// `recorded`) that start inside [begin_ns, end_ns], oldest first. Only
+  /// records from `from` on are visited, so the cost follows the spans
+  /// recorded since then, not the buffer size.
+  [[nodiscard]] std::vector<SpanRecord> snapshot(std::uint64_t from,
+                                                 std::uint64_t begin_ns,
+                                                 std::uint64_t end_ns) const;
   [[nodiscard]] std::size_t size() const;
-  /// Spans discarded because the buffer was full.
+  /// Spans recorded since the last reset, overwritten ones included: the
+  /// stream position the next span will take.
+  [[nodiscard]] std::uint64_t recorded() const;
+  /// Spans overwritten because the buffer was full.
   [[nodiscard]] std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
@@ -74,7 +86,8 @@ private:
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> dropped_{0};
   mutable std::mutex mutex_;
-  std::vector<SpanRecord> spans_;
+  std::vector<SpanRecord> spans_;  ///< position p lives at p % kMaxSpans
+  std::uint64_t recorded_ = 0;
   std::chrono::steady_clock::time_point epoch_;
 };
 

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
@@ -128,6 +129,54 @@ TEST_F(TraceTest, ResetDropsSpans) {
   EXPECT_EQ(Tracer::instance().size(), 1u);
   Tracer::instance().reset();
   EXPECT_EQ(Tracer::instance().size(), 0u);
+}
+
+SpanRecord span_at(std::uint64_t start_ns) {
+  SpanRecord r;
+  r.name = "manual";
+  r.start_ns = start_ns;
+  return r;
+}
+
+TEST_F(TraceTest, SnapshotFromStreamPositionKeepsOnlyLaterSpansInWindow) {
+  Tracer& tr = Tracer::instance();
+  for (std::uint64_t t = 0; t < 3; ++t) tr.record(span_at(100 + t));
+  const std::uint64_t from = tr.recorded();
+  EXPECT_EQ(from, 3u);
+  for (std::uint64_t t = 0; t < 4; ++t) tr.record(span_at(200 + t));
+  // Earlier spans are skipped by position even when they start in window.
+  const std::vector<SpanRecord> later = tr.snapshot(from, 0, 1000);
+  ASSERT_EQ(later.size(), 4u);
+  EXPECT_EQ(later.front().start_ns, 200u);
+  EXPECT_EQ(later.back().start_ns, 203u);
+  // The time window bounds both ends, inclusively.
+  const std::vector<SpanRecord> window = tr.snapshot(0, 102, 201);
+  ASSERT_EQ(window.size(), 3u);
+  EXPECT_EQ(window[0].start_ns, 102u);
+  EXPECT_EQ(window[2].start_ns, 201u);
+  EXPECT_TRUE(tr.snapshot(tr.recorded(), 0, 1000).empty());
+}
+
+TEST_F(TraceTest, FullBufferOverwritesOldestSpans) {
+  Tracer& tr = Tracer::instance();
+  constexpr std::uint64_t kExtra = 5;
+  for (std::uint64_t t = 0; t < Tracer::kMaxSpans + kExtra; ++t) tr.record(span_at(t));
+  EXPECT_EQ(tr.size(), Tracer::kMaxSpans);
+  EXPECT_EQ(tr.recorded(), Tracer::kMaxSpans + kExtra);
+  EXPECT_EQ(tr.dropped(), kExtra);
+  // Oldest first: the first kExtra spans are gone, the newest survive.
+  const std::vector<SpanRecord> all = tr.snapshot();
+  ASSERT_EQ(all.size(), Tracer::kMaxSpans);
+  EXPECT_EQ(all.front().start_ns, kExtra);
+  EXPECT_EQ(all.back().start_ns, Tracer::kMaxSpans + kExtra - 1);
+  // A position that was overwritten starts at the oldest surviving span.
+  EXPECT_EQ(tr.snapshot(0, 0, kExtra).size(), 1u);
+  const std::vector<SpanRecord> tail = tr.snapshot(Tracer::kMaxSpans + 3, 0, ~0ull);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].start_ns, Tracer::kMaxSpans + 3);
+  tr.reset();
+  EXPECT_EQ(tr.recorded(), 0u);
+  EXPECT_EQ(tr.dropped(), 0u);
 }
 
 TEST(MetricsTest, ConcurrentAddsSumExactly) {

